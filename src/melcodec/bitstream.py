@@ -19,6 +19,11 @@ from .ocvq import TokenSequence
 MAGIC = b"FMB1"
 VERSION = 1
 _HEADER = struct.Struct("<4sBIHBHBIB")
+# largest value each header field's packed width holds
+_FIELD_MAX = {"sample_rate": 2 ** 32 - 1, "hop": 2 ** 16 - 1,
+              "downsample": 2 ** 8 - 1, "codebook_size": 2 ** 16 - 1,
+              "n_mels": 2 ** 8 - 1, "token_count": 2 ** 32 - 1,
+              "pad_frames": 2 ** 8 - 1}
 
 
 @dataclass
@@ -37,6 +42,11 @@ class StreamHeader:
             raise ValueError("codebook size must be >= 2")
         if self.token_count < 0:
             raise ValueError("token count must be >= 0")
+        for name, top in _FIELD_MAX.items():
+            value = getattr(self, name)
+            if not 0 <= value <= top:
+                raise ValueError(f"header {name}={value} does not fit its "
+                                 f"field (0..{top})")
 
     def pack(self) -> bytes:
         return _HEADER.pack(MAGIC, self.version, self.sample_rate, self.hop,

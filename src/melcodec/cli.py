@@ -4,6 +4,8 @@ Checkpoints bundle stage parameters under "coding/" and "refine/" prefixes
 so decode works from a single --model file; a `<ckpt>.json` sidecar written
 at train time lets encode/decode rebuild the architecture without flags.
 The FMC_SEED environment variable overrides the configured seed.
+MELCODEC_DEBUG=1 makes `main` re-raise failures with their traceback
+instead of printing one `error:` line.
 """
 
 from __future__ import annotations
@@ -131,6 +133,9 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     cfg = _resolve_config(args, args.model)
     header, seq = bs.read_stream(args.infile)
+    if header.sample_rate != cfg.mel.sample_rate:
+        raise ValueError(f"stream sample rate {header.sample_rate} does not "
+                         f"match model rate {cfg.mel.sample_rate}")
     if header.codebook_size != cfg.coding.codebook_size:
         raise ValueError(f"stream K={header.codebook_size} does not match "
                          f"model K={cfg.coding.codebook_size}")
@@ -269,6 +274,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # single surface for operator-facing failures
+        if os.environ.get("MELCODEC_DEBUG") == "1":
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,14 +5,21 @@ frame length zero-padded to the FFT size, reflect-centered frames, natural-log
 compression of magnitude mel energies with a 1e-5 floor. The decode direction
 uses non-negative least squares to invert the filterbank followed by
 Griffin-Lim phase reconstruction, standing in for a neural vocoder.
+
+The filterbank is built once per band geometry and cached read-only, together
+with its CSR forms and the FISTA step 1/||fb||_2^2 the inversion needs. The
+NNLS solve checks the residual norm every 10 iterations and stops once it fell
+by no more than 0.3 % since the previous check, or after 400 iterations.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 
 @dataclass
@@ -154,22 +161,52 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: MelConfig) -> np.ndarray:
-    """Triangular filters [D, fft_size/2 + 1], peaks equally spaced in mel."""
-    n_bins = cfg.fft_size // 2 + 1
-    bin_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.fft_size
-    mel_points = np.linspace(mel_scale(cfg.fmin), mel_scale(cfg.fmax), cfg.n_mels + 2)
+@dataclass(frozen=True)
+class _Filterbank:
+    """A mel filterbank with what NNLS inversion needs of it."""
+    dense: np.ndarray          # [D, bins], read-only
+    matrix: sparse.csr_array   # dense in CSR form
+    adjoint: sparse.csr_array  # dense.T in CSR form
+    step: float                # FISTA step 1 / ||dense||_2^2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """[D, bins], as for the dense matrix."""
+        return self.dense.shape
+
+
+@functools.lru_cache(maxsize=16)
+def _build_filterbank(sample_rate: int, fft_size: int, n_mels: int,
+                      fmin: float, fmax: float) -> _Filterbank:
+    n_bins = fft_size // 2 + 1
+    bin_freqs = np.arange(n_bins) * sample_rate / fft_size
+    mel_points = np.linspace(mel_scale(fmin), mel_scale(fmax), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
-    fb = np.zeros((cfg.n_mels, n_bins))
-    for d in range(cfg.n_mels):
+    fb = np.zeros((n_mels, n_bins))
+    for d in range(n_mels):
         left, center, right = hz_points[d], hz_points[d + 1], hz_points[d + 2]
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         fb[d] = np.maximum(0.0, np.minimum(rising, falling))
         if not fb[d].any():
             raise ValueError(f"mel filter {d} is empty; n_mels too large for "
-                             f"fft_size={cfg.fft_size}")
-    return fb
+                             f"fft_size={fft_size}")
+    fb.flags.writeable = False
+    return _Filterbank(fb, sparse.csr_array(fb), sparse.csr_array(fb.T),
+                       1.0 / np.linalg.norm(fb, 2) ** 2)
+
+
+def _filterbank(cfg: MelConfig) -> _Filterbank:
+    return _build_filterbank(cfg.sample_rate, cfg.fft_size, cfg.n_mels,
+                             cfg.fmin, cfg.fmax)
+
+
+def mel_filterbank(cfg: MelConfig) -> np.ndarray:
+    """Triangular filters [D, fft_size/2 + 1], peaks equally spaced in mel.
+
+    Built once per band geometry; every caller shares the read-only array.
+    """
+    return _filterbank(cfg).dense
 
 
 def mel_spectrogram(x: np.ndarray, cfg: MelConfig) -> MelSpectrogram:
@@ -183,43 +220,72 @@ def mel_spectrogram(x: np.ndarray, cfg: MelConfig) -> MelSpectrogram:
 # synthesis fallback
 # ---------------------------------------------------------------------------
 
+def _overlap_add(blocks: np.ndarray) -> np.ndarray:
+    """Sum [n, R, hop] frame blocks placed one hop apart.
+
+    Block k of frame i lands on output block i + k. Adding k from R-1 down to
+    0 accumulates each output sample over frames in increasing order, as a
+    per-frame loop would, so the sums are bit-identical to it.
+    """
+    n, r, hop = blocks.shape
+    out = np.zeros((n + r - 1, hop))
+    for k in range(r - 1, -1, -1):
+        out[k:k + n] += blocks[:, k]
+    return out.reshape(-1)
+
+
 def _istft(spec: np.ndarray, cfg: MelConfig, length: int) -> np.ndarray:
     """Windowed overlap-add inverse of `stft`, trimmed to the given length."""
-    window = _hann(cfg.frame_length)
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :cfg.frame_length]
-    frames *= window[None, :]
-    pad = cfg.frame_length // 2
-    total = (spec.shape[0] - 1) * cfg.hop + cfg.frame_length
-    out = np.zeros(total)
-    wsum = np.zeros(total)
-    for i in range(spec.shape[0]):
-        lo = i * cfg.hop
-        out[lo:lo + cfg.frame_length] += frames[i]
-        wsum[lo:lo + cfg.frame_length] += window ** 2
+    n, hop, width = spec.shape[0], cfg.hop, cfg.frame_length
+    r = -(-width // hop)  # frames zero-padded to r whole hops
+    window = _hann(width)
+    frames = np.zeros((n, r * hop))
+    np.multiply(np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :width],
+                window[None, :], out=frames[:, :width])
+    window_sq = np.zeros(r * hop)
+    window_sq[:width] = window ** 2
+    out = _overlap_add(frames.reshape(n, r, hop))
+    wsum = _overlap_add(np.broadcast_to(window_sq.reshape(1, r, hop), (n, r, hop)))
     good = wsum > 1e-11
     out[good] /= wsum[good]
+    pad = width // 2
     out = out[pad:pad + length]
     if len(out) < length:
         out = np.pad(out, (0, length - len(out)))
     return out
 
 
-def _nnls(fb: np.ndarray, targets: np.ndarray, iterations: int = 400) -> np.ndarray:
-    """Projected-gradient NNLS: min ||fb @ S - targets||^2 with S >= 0.
+def _nnls(fb: _Filterbank, targets: np.ndarray, iterations: int = 400) -> np.ndarray:
+    """FISTA (Beck & Teboulle, 2009) for min ||fb @ S - targets||^2, S >= 0.
 
     targets is [D, N]; returns S [bins, N]. Deterministic and vectorized over
-    frames, which keeps decode latency reasonable without scipy per-frame calls.
+    frames. Every 10 iterations the residual norm at the extrapolated point is
+    compared with the previous check; the solve stops once it fell by no more
+    than 0.3 % relative, and after `iterations` iterations at most.
     """
-    lipschitz = np.linalg.norm(fb, 2) ** 2
-    step = 1.0 / lipschitz
-    s = np.maximum(fb.T @ targets, 0.0)
+    targets = np.ascontiguousarray(targets)
+    s = np.maximum(fb.adjoint @ targets, 0.0)
     momentum = s.copy()
     t_prev = 1.0
-    for _ in range(iterations):
-        grad = fb.T @ (fb @ momentum - targets)
-        s_next = np.maximum(momentum - step * grad, 0.0)
+    checked = None
+    for it in range(iterations):
+        residual = fb.matrix @ momentum
+        residual -= targets
+        if it % 10 == 0:
+            norm = np.linalg.norm(residual)
+            if checked is not None and checked - norm <= 3e-3 * checked:
+                break
+            checked = norm
+        # s_next = max(momentum - step * grad, 0), in place in the grad buffer
+        s_next = fb.adjoint @ residual
+        s_next *= fb.step
+        np.subtract(momentum, s_next, out=s_next)
+        np.maximum(s_next, 0.0, out=s_next)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev ** 2))
-        momentum = s_next + ((t_prev - 1.0) / t_next) * (s_next - s)
+        # momentum = s_next + ((t_prev - 1) / t_next) * (s_next - s)
+        np.subtract(s_next, s, out=s)
+        s *= (t_prev - 1.0) / t_next
+        np.add(s_next, s, out=momentum)
         s, t_prev = s_next, t_next
     return s
 
@@ -229,23 +295,26 @@ def mel_to_waveform(mel: MelSpectrogram, iterations: int = 32) -> np.ndarray:
 
     The filterbank is pseudo-inverted with non-negative least squares, then
     Griffin-Lim runs for the requested iteration count (0 means zero phase).
+    Each Griffin-Lim step keeps the phase of the re-analysed spectrum X by
+    rescaling it, X * magnitude / |X|, and uses phase 0 where |X| = 0.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     cfg = mel.config
-    fb = mel_filterbank(cfg)
     linear = np.exp(mel.data)  # [N, D]
-    magnitude = _nnls(fb, linear.T).T  # [N, bins]
+    magnitude = np.ascontiguousarray(_nnls(_filterbank(cfg), linear.T).T)  # [N, bins]
     length = mel.n_frames * cfg.hop
 
-    phase = np.zeros_like(magnitude)
-    spec = magnitude * np.exp(1j * phase)
-    x = _istft(spec, cfg, length)
+    x = _istft(magnitude, cfg, length)
     for _ in range(iterations):
-        rebuilt = stft(x, cfg)
-        rebuilt = rebuilt[:magnitude.shape[0]]
-        phase = np.angle(rebuilt)
-        x = _istft(magnitude * np.exp(1j * phase), cfg, length)
+        rebuilt = stft(x, cfg)  # length = N * hop gives exactly N frames
+        scale = np.abs(rebuilt)
+        silent = scale == 0.0
+        scale[silent] = 1.0
+        np.divide(magnitude, scale, out=scale)
+        rebuilt *= scale
+        rebuilt[silent] = magnitude[silent]
+        x = _istft(rebuilt, cfg, length)
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("non-finite samples from mel inversion")
     return x

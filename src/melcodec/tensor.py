@@ -35,7 +35,7 @@ class no_grad:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise FloatingPointError(f"non-finite values in output of op '{op}'")
 
 
@@ -94,14 +94,25 @@ class Tensor:
 
     def zero_grad(self) -> None:
         if self.requires_grad:
-            if self.grad is None:
+            if self.grad is None or self._backward is not None:
                 self.grad = np.zeros_like(self.data)
             else:
                 self.grad.fill(0.0)
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # An op output takes a C-contiguous first gradient without a copy and
+        # never writes into it, since that array may be another node's buffer;
+        # leaves own their buffers and accumulate in place. Either way the
+        # buffer keeps the memory layout a copy would have had.
+        interior = self._backward is not None
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            if (interior and isinstance(g, np.ndarray) and g.dtype == np.float64
+                    and g.flags.c_contiguous):
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=np.float64, copy=True)
+        elif interior:
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
         else:
             self.grad += g
 
@@ -433,10 +444,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             data = data + bias.data[None, :, None]
         return Tensor._from_op(data, parents, bw, "conv1d")
 
-    idx = np.arange(out_len)[None, :] * stride + np.arange(kernel)[:, None]  # [K, L']
     cg = cin // groups
     og = cout // groups
-    patches = xpad.reshape(batch, groups, cg, -1)[:, :, :, idx]  # [B, G, Cg, K, L']
+    # view of xpad[b, c, k + l * stride] as [B, Cin, K, L'], copied once below
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, span, axis=-1)
+    patches = windows[:, :, :kernel, ::stride] \
+        .reshape(batch, groups, cg, kernel, out_len)  # [B, G, Cg, K, L']
     a = patches.transpose(1, 2, 3, 0, 4).reshape(groups, cg * kernel, batch * out_len)
     w2 = weight.data.reshape(groups, og, cg * kernel)
     out = np.matmul(w2, a)  # [G, Og, B*L']
@@ -453,7 +466,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             gpatch = ga.reshape(groups, cg, kernel, batch, out_len) \
                 .transpose(3, 0, 1, 2, 4)
             gxpad = np.zeros((batch, groups, cg, xpad.shape[-1]))
-            np.add.at(gxpad, (slice(None), slice(None), slice(None), idx), gpatch)
+            # scatter the taps in increasing k, one strided slice-add each
+            for k in range(kernel):
+                gxpad[:, :, :, k:k + span:stride] += gpatch[:, :, :, k]
             x._accumulate(gxpad.reshape(batch, cin, -1)[:, :, padding:padding + length])
         if weight.requires_grad:
             gw = np.matmul(g2, a.transpose(0, 2, 1))  # [G, Og, Cg*K]
@@ -485,7 +500,9 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     idx = np.arange(length)[None, :] * stride + np.arange(kernel)[:, None]  # [K, L]
     contrib = np.einsum("bil,iok->bokl", x.data, weight.data, optimize=True)
     ypad = np.zeros((batch, cout, full_len))
-    np.add.at(ypad, (slice(None), slice(None), idx), contrib)
+    span = (length - 1) * stride + 1
+    for k in range(kernel):  # scatter the taps in increasing k
+        ypad[:, :, k:k + span:stride] += contrib[:, :, k]
     data = ypad[:, :, padding:padding + out_len]
     if bias is not None:
         data = data + bias.data[None, :, None]

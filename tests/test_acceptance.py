@@ -120,8 +120,9 @@ class TestCriterion4GradientSuite:
 
         rng = np.random.default_rng(2)
         block = mnn.ConvNeXtBlock(4, np.random.default_rng(3))
+        x_cn = rng.normal(size=(1, 4, 6))
         try_check("convnext", lambda: module_gradcheck(
-            block, lambda: (block(Tensor(rng.normal(size=(1, 4, 6)))) ** 2).sum(),
+            block, lambda: (block(Tensor(x_cn)) ** 2).sum(),
             rtol=1e-4, atol=1e-7, max_coords=4))
 
         res = mnn.ResNetBlock(8, 8, 4, np.random.default_rng(4))

@@ -134,6 +134,24 @@ class TestStreamIO:
         with pytest.raises(ValueError):
             bs.read_stream(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("codebook_size", 65536), ("hop", 65536), ("downsample", 256),
+        ("n_mels", 256), ("pad_frames", 256), ("sample_rate", 2 ** 32),
+        ("token_count", 2 ** 32), ("hop", -1), ("sample_rate", -1)])
+    def test_field_out_of_packed_range_rejected(self, field, value):
+        fields = dict(sample_rate=16000, hop=160, downsample=4,
+                      codebook_size=1024, n_mels=80, token_count=0, pad_frames=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            bs.StreamHeader(**fields)
+
+    def test_fields_at_packed_limits_round_trip(self):
+        header = bs.StreamHeader(sample_rate=2 ** 32 - 1, hop=65535,
+                                 downsample=255, codebook_size=65535,
+                                 n_mels=255, token_count=2 ** 32 - 1,
+                                 pad_frames=255)
+        assert bs.StreamHeader.unpack(header.pack()) == header
+
     def test_header_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             bs.write_stream(tmp_path / "x.fmb", make_header(5), np.array([1, 2]))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from melcodec import bitstream as bs
 from melcodec import cli, coding, config, dsp, refine
 from melcodec import tensor as T
 from melcodec.dsp import MelConfig, MelSpectrogram
@@ -196,6 +197,39 @@ class TestEncodeDecode:
         rc = cli.main(["decode", "--in", str(fmb), "--model", str(model_path),
                        "--out", str(tmp_path / "y.wav"), "--config", str(paper_cfg)])
         assert rc != 0
+
+    def test_header_rate_mismatch(self, desk_ckpt, sample_wav, tmp_path, capsys):
+        model_path, _ = desk_ckpt
+        fmb = tmp_path / "clip.fmb"
+        assert cli.main(["encode", "--in", str(sample_wav), "--model",
+                         str(model_path), "--out", str(fmb)]) == 0
+        header, seq = bs.read_stream(fmb)
+        bs.write_stream(fmb, dataclasses.replace(header, sample_rate=8000),
+                        seq.tokens)
+        capsys.readouterr()
+        out = tmp_path / "z.wav"
+        rc = cli.main(["decode", "--in", str(fmb), "--model", str(model_path),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "8000" in err
+        assert not out.exists()
+
+
+class TestDebugMode:
+    def test_errors_print_by_default_and_raise_under_debug(self, sample_wav,
+                                                           tmp_path, capsys,
+                                                           monkeypatch):
+        argv = ["encode", "--in", str(sample_wav), "--model",
+                str(tmp_path / "nope.fmck"), "--out", str(tmp_path / "x.fmb")]
+        monkeypatch.delenv("MELCODEC_DEBUG", raising=False)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        monkeypatch.setenv("MELCODEC_DEBUG", "1")
+        with pytest.raises(OSError):
+            cli.main(argv)
+        assert capsys.readouterr().err == ""
 
 
 class TestTrainCommand:

@@ -4,6 +4,8 @@ import pytest
 from melcodec import dsp
 from melcodec.dsp import MelConfig, MelSpectrogram
 
+from conftest import synth_clip
+
 
 CFG = MelConfig()
 
@@ -37,6 +39,51 @@ def reference_filterbank(cfg):
         fb[d] = np.interp(bin_freqs, [pts[d], pts[d + 1], pts[d + 2]],
                           [0.0, 1.0, 0.0], left=0.0, right=0.0)
     return fb
+
+
+def reference_istft(spec, cfg, length):
+    """Per-frame overlap-add loop: the arithmetic `_istft` must reproduce."""
+    window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(cfg.frame_length) / cfg.frame_length)
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :cfg.frame_length]
+    frames *= window[None, :]
+    total = (spec.shape[0] - 1) * cfg.hop + cfg.frame_length
+    out = np.zeros(total)
+    wsum = np.zeros(total)
+    for i in range(spec.shape[0]):
+        lo = i * cfg.hop
+        out[lo:lo + cfg.frame_length] += frames[i]
+        wsum[lo:lo + cfg.frame_length] += window ** 2
+    good = wsum > 1e-11
+    out[good] /= wsum[good]
+    pad = cfg.frame_length // 2
+    out = out[pad:pad + length]
+    return np.pad(out, (0, length - len(out)))
+
+
+def reference_fista(fb, targets, iterations=400):
+    """Plain dense FISTA for min ||fb S - targets||^2, S >= 0, fixed count."""
+    step = 1.0 / np.linalg.norm(fb, 2) ** 2
+    s = np.maximum(fb.T @ targets, 0.0)
+    momentum = s.copy()
+    t_prev = 1.0
+    for _ in range(iterations):
+        s_next = np.maximum(momentum - step * (fb.T @ (fb @ momentum - targets)), 0.0)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev ** 2))
+        momentum = s_next + ((t_prev - 1.0) / t_next) * (s_next - s)
+        s, t_prev = s_next, t_next
+    return s
+
+
+class CountingProducts:
+    """Stands in for a sparse matrix and counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.count = 0
+
+    def __matmul__(self, other):
+        self.count += 1
+        return self.matrix @ other
 
 
 class TestWavIO:
@@ -162,6 +209,48 @@ class TestFilterbank:
     def test_too_many_mels_rejected(self):
         with pytest.raises(ValueError):
             dsp.mel_filterbank(MelConfig(fft_size=1024, frame_length=640, n_mels=500))
+
+    def test_cached_per_config_and_read_only(self):
+        fb = dsp.mel_filterbank(MelConfig())
+        assert dsp.mel_filterbank(MelConfig()) is fb
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+        other = dsp.mel_filterbank(MelConfig(n_mels=64))
+        assert other is not fb
+        assert other.shape == (64, 513)
+
+
+class TestInversion:
+    @pytest.mark.parametrize("hop", [160, 150, 400])
+    def test_istft_matches_frame_loop_bitwise(self, hop):
+        # 150 does not divide the 640-sample frame; at 400 the last hop of
+        # output lies past the final frame
+        cfg = MelConfig(hop=hop)
+        x = np.random.default_rng(hop).normal(size=2345)
+        spec = dsp.stft(x, cfg)
+        for length in (len(x), spec.shape[0] * hop):
+            np.testing.assert_array_equal(dsp._istft(spec, cfg, length),
+                                          reference_istft(spec, cfg, length))
+
+    def test_nnls_stops_early_near_full_solve(self):
+        # a speech-like mel with the kind of residual noise a refined mel
+        # carries, so no exact non-negative fit exists
+        rng = np.random.default_rng(7)
+        mel = dsp.mel_spectrogram(synth_clip(rng, 3.0), CFG).data
+        targets = np.exp(mel + 0.5 * rng.normal(size=mel.shape)).T
+        fb = dsp._filterbank(CFG)
+        counted = CountingProducts(fb.matrix)
+        ours = dsp._nnls(dsp._Filterbank(fb.dense, counted, fb.adjoint, fb.step),
+                         targets)
+        assert counted.count < 400
+        full = reference_fista(fb.dense, targets)
+
+        def rel_residual(s):
+            return np.linalg.norm(fb.dense @ s - targets) / np.linalg.norm(targets)
+
+        assert np.all(ours >= 0)
+        assert rel_residual(ours) <= 1.05 * rel_residual(full)
 
 
 class TestMelSpectrogram:
