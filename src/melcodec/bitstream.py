@@ -88,7 +88,8 @@ def unpack_tokens(payload: bytes, header: StreamHeader) -> TokenSequence:
     width = bits_per_token(header.codebook_size)
     expected = math.ceil(header.token_count * width / 8)
     if len(payload) != expected:
-        raise ValueError(f"payload length {len(payload)} != expected {expected}")
+        raise ValueError(f"payload of {len(payload)} bytes, but "
+                         f"{header.token_count} tokens need {expected}")
     if header.token_count == 0:
         tokens = np.zeros(0, dtype=np.int64)
     else:
@@ -98,9 +99,7 @@ def unpack_tokens(payload: bytes, header: StreamHeader) -> TokenSequence:
         tokens = bits.astype(np.int64) @ weights
         if tokens.size and tokens.max() >= header.codebook_size:
             raise ValueError("decoded token exceeds codebook size")
-    return TokenSequence(tokens, header.codebook_size,
-                         downsample=header.downsample, hop=header.hop,
-                         sample_rate=header.sample_rate)
+    return TokenSequence(tokens, header.codebook_size)
 
 
 def write_stream(path, header: StreamHeader, tokens: np.ndarray) -> None:
@@ -118,13 +117,7 @@ def read_stream(path) -> tuple[StreamHeader, TokenSequence]:
     with open(path, "rb") as f:
         blob = f.read()
     header = StreamHeader.unpack(blob)
-    payload = blob[_HEADER.size:]
-    width = bits_per_token(header.codebook_size)
-    expected = math.ceil(header.token_count * width / 8)
-    if len(payload) != expected:
-        raise ValueError(f"stream payload truncated or oversized: "
-                         f"{len(payload)} vs {expected} bytes")
-    return header, unpack_tokens(payload, header)
+    return header, unpack_tokens(blob[_HEADER.size:], header)
 
 
 def payload_bits(token_count: int, k: int) -> int:

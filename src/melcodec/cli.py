@@ -1,8 +1,10 @@
 """Command-line surface: encode, decode, train, eval.
 
-Checkpoints bundle stage parameters under "coding/" and "refine/" prefixes
-so decode works from a single --model file; a `<ckpt>.json` sidecar written
-at train time lets encode/decode rebuild the architecture without flags.
+Each command parses its arguments, resolves the configuration and prints the
+outcome; encode and decode run through `codec.Codec`, which loads the
+checkpoint and checks a stream against the model. A `<ckpt>.json` sidecar
+written at train time lets encode/decode rebuild the architecture without
+flags.
 The FMC_SEED environment variable overrides the configured seed.
 MELCODEC_DEBUG=1 makes `main` re-raise failures with their traceback
 instead of printing one `error:` line.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -20,10 +23,10 @@ import numpy as np
 from scipy.fft import dct
 
 from . import bitstream as bs
-from . import coding, dsp, ocvq, refine
+from . import coding, dsp, refine
+from .codec import Codec
 from .config import PipelineConfig, from_json, preset, to_json
 from .dsp import MelSpectrogram
-from . import tensor as T
 
 
 # ---------------------------------------------------------------------------
@@ -88,73 +91,26 @@ def _expand_corpus(entries) -> list[str]:
     return paths
 
 
-def _load_models(model_path, cfg: PipelineConfig, need_refine: bool):
-    state = T.load_checkpoint(model_path)
-    model = coding.CodingModel(cfg.mel, cfg.coding, np.random.default_rng(0))
-    model.load_state(state, prefix="coding/")
-    model.eval()
-    net = None
-    if need_refine:
-        if not any(k.startswith("refine/") for k in state):
-            raise ValueError(f"{model_path}: checkpoint has no refinement stage; "
-                             "train with --stage refine or pass --no-refine")
-        net = refine.VelocityNet(cfg.mel.n_mels, cfg.refine, np.random.default_rng(0))
-        net.load_state(state, prefix="refine/")
-        net.eval()
-    return model, net
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_encode(args) -> int:
-    cfg = _resolve_config(args, args.model)
-    model, _ = _load_models(args.model, cfg, need_refine=False)
+    codec = Codec.load(args.model, _resolve_config(args, args.model),
+                       need_refine=False)
     samples, rate = dsp.load_wav(args.infile)
-    if rate != cfg.mel.sample_rate:
-        raise ValueError(f"input rate {rate} != configured {cfg.mel.sample_rate}")
-    mel = dsp.mel_spectrogram(samples, cfg.mel)
-    z = coding.encode(mel, model)
-    seq, _ = ocvq.quantize(z, model.codebook_obj)
-    pad = coding.frame_padding(mel.n_frames, cfg.coding.downsample)
-    header = bs.StreamHeader(sample_rate=rate, hop=cfg.mel.hop,
-                             downsample=cfg.coding.downsample,
-                             codebook_size=cfg.coding.codebook_size,
-                             n_mels=cfg.mel.n_mels,
-                             token_count=len(seq), pad_frames=pad)
-    bs.write_stream(args.out, header, seq.tokens)
-    duration = len(samples) / rate
-    bps = bs.payload_bits(len(seq), cfg.coding.codebook_size) / duration
+    header, tokens = codec.encode(samples, rate)
+    bs.write_stream(args.out, header, tokens)
+    bps = bs.payload_bits(len(tokens), header.codebook_size) / (len(samples) / rate)
     print(f"{bps:.1f} bps")
     return 0
 
 
 def cmd_decode(args) -> int:
-    cfg = _resolve_config(args, args.model)
     header, seq = bs.read_stream(args.infile)
-    if header.sample_rate != cfg.mel.sample_rate:
-        raise ValueError(f"stream sample rate {header.sample_rate} does not "
-                         f"match model rate {cfg.mel.sample_rate}")
-    if header.codebook_size != cfg.coding.codebook_size:
-        raise ValueError(f"stream K={header.codebook_size} does not match "
-                         f"model K={cfg.coding.codebook_size}")
-    if header.n_mels != cfg.mel.n_mels or header.hop != cfg.mel.hop:
-        raise ValueError("stream mel geometry does not match the model")
-    if header.downsample != cfg.coding.downsample:
-        raise ValueError("stream downsample factor does not match the model")
-    model, net = _load_models(args.model, cfg, need_refine=not args.no_refine)
-    z_hat = model.codebook.data[seq.tokens]
-    mel = coding.decode(z_hat, model, header.pad_frames)
-    if not args.no_refine:
-        rcfg = cfg.refine
-        if args.iters is not None:
-            import dataclasses
-            rcfg = dataclasses.replace(rcfg, iterations=args.iters)
-        rng = np.random.default_rng(cfg.seed)
-        refined = refine.refine(mel, net, rcfg, rng)
-        mel = MelSpectrogram(refined, cfg.mel)
-    samples = dsp.mel_to_waveform(mel, iterations=cfg.griffin_lim_iters)
+    codec = Codec.load(args.model, _resolve_config(args, args.model),
+                       need_refine=not args.no_refine)
+    samples = codec.decode(header, seq.tokens, args.iters)
     dsp.save_wav(args.out, samples, header.sample_rate)
     print(f"wrote {args.out} ({len(samples) / header.sample_rate:.2f} s)")
     return 0
@@ -193,7 +149,6 @@ def cmd_eval(args) -> int:
     if rate_ref != rate_deg:
         raise ValueError(f"sample-rate mismatch: {rate_ref} vs {rate_deg}")
     cfg = _resolve_config(args)
-    import dataclasses
     mel_cfg = dataclasses.replace(cfg.mel, sample_rate=rate_ref,
                                   fmax=rate_ref / 2)
     m_ref = dsp.mel_spectrogram(ref, mel_cfg)

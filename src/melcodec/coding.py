@@ -106,28 +106,27 @@ class CodingModel(nn.Module):
         return ocvq.Codebook(self.codebook)
 
 
-def build_coding_model(mel_cfg: MelConfig, cfg: CodingConfig,
-                       seed: int = 0) -> CodingModel:
-    return CodingModel(mel_cfg, cfg, np.random.default_rng(seed))
-
-
 def frame_padding(n_frames: int, r: int) -> int:
     """Frames of edge repetition needed to reach a multiple of r."""
     return (-n_frames) % r
 
 
-def pad_frames(m: np.ndarray, r: int) -> tuple[np.ndarray, int]:
-    pad = frame_padding(m.shape[0], r)
-    if pad:
-        m = np.concatenate([m, np.repeat(m[-1:], pad, axis=0)], axis=0)
-    return m, pad
+def pad_edge(a: np.ndarray, r: int, axis: int = 0) -> np.ndarray:
+    """Repeat the last entry along `axis` up to a multiple of r; `a` itself
+    when it already is one."""
+    pad = frame_padding(a.shape[axis], r)
+    if not pad:
+        return a
+    last = [slice(None)] * a.ndim
+    last[axis] = slice(-1, None)
+    return np.concatenate([a, np.repeat(a[tuple(last)], pad, axis=axis)], axis=axis)
 
 
 def encode(mel: MelSpectrogram, model: CodingModel) -> np.ndarray:
     """Latent matrix [N', C] with N' = ceil(N / r); deterministic in eval."""
     if mel.n_frames == 0:
         raise ValueError("empty mel input")
-    padded, _ = pad_frames(mel.data, model.cfg.downsample)
+    padded = pad_edge(mel.data, model.cfg.downsample)
     model.eval()
     with T.no_grad():
         z = model.encoder(Tensor(padded.T[None]))  # [1, C, N']
@@ -148,16 +147,23 @@ def decode(z_hat: np.ndarray, model: CodingModel, pad_frames_count: int = 0) -> 
     return MelSpectrogram(out.copy(), model.mel_cfg)
 
 
+def tokenize(mel: MelSpectrogram, model: CodingModel) -> tuple[np.ndarray, int]:
+    """Nearest-codeword tokens [ceil(N / r)] of a mel, and the frames of edge
+    padding the encoder added."""
+    seq, _ = ocvq.quantize(encode(mel, model), model.codebook_obj)
+    return seq.tokens, frame_padding(mel.n_frames, model.cfg.downsample)
+
+
+def detokenize(tokens: np.ndarray, pad: int, model: CodingModel) -> MelSpectrogram:
+    """Coarse mel [N, D] decoded from the codewords of `tokens`."""
+    return decode(model.codebook.data[tokens], model, pad)
+
+
 def mel_rec_loss(m, m_tilde) -> Tensor:
     """mean|M - M~| + mean(M - M~)^2."""
     m = m if isinstance(m, Tensor) else Tensor(np.asarray(m, dtype=np.float64))
     m_tilde = m_tilde if isinstance(m_tilde, Tensor) else Tensor(m_tilde)
     return T.reduce_loss("l1", m, m_tilde) + T.reduce_loss("l2", m, m_tilde)
-
-
-def coding_total_loss(m, m_tilde, z, z_hat, cfg: CodingConfig) -> Tensor:
-    return (cfg.lambda_mel_rec * mel_rec_loss(m, m_tilde)
-            + cfg.lambda_vq * ocvq.vq_loss(z, z_hat, cfg.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +196,7 @@ def _mel_batch(clips, mel_cfg: MelConfig, cfg: CodingConfig,
     length = int(round(cfg.segment_seconds * mel_cfg.sample_rate))
     mels = [dsp.mel_spectrogram(_sample_crop(clips, length, rng), mel_cfg).data
             for _ in range(cfg.batch_size)]
-    batch = np.stack(mels)  # [B, N, D]
-    batch, _ = _pad_batch_frames(batch, cfg.downsample)
-    return batch
-
-
-def _pad_batch_frames(batch: np.ndarray, r: int) -> tuple[np.ndarray, int]:
-    pad = frame_padding(batch.shape[1], r)
-    if pad:
-        batch = np.concatenate([batch, np.repeat(batch[:, -1:], pad, axis=1)], axis=1)
-    return batch, pad
+    return pad_edge(np.stack(mels), cfg.downsample, axis=1)  # [B, N, D]
 
 
 def coding_step(model: CodingModel, batch: np.ndarray,
@@ -290,8 +287,6 @@ def train_coding(corpus, cfg, checkpoint_out, log_csv=None) -> CodingModel:
 
 def load_coding_model(checkpoint_path, mel_cfg: MelConfig,
                       cfg: CodingConfig) -> CodingModel:
-    state = T.load_checkpoint(checkpoint_path)
     model = CodingModel(mel_cfg, cfg, np.random.default_rng(0))
-    model.load_state(state, prefix="coding/")
-    model.eval()
-    return model
+    model.load_state(T.load_checkpoint(checkpoint_path), prefix="coding/")
+    return model.eval()

@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 
@@ -87,8 +88,9 @@ def load_wav(path) -> tuple[np.ndarray, int]:
         (chunk_size,) = struct.unpack_from("<I", blob, offset + 4)
         body = blob[offset + 8:offset + 8 + chunk_size]
         if chunk_id == b"fmt ":
-            if chunk_size < 16:
-                raise ValueError(f"{path}: malformed fmt chunk")
+            if len(body) < 16:
+                raise ValueError(f"{path}: fmt chunk holds {len(body)} bytes, "
+                                 "fewer than 16")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             if len(body) < chunk_size:
@@ -104,6 +106,9 @@ def load_wav(path) -> tuple[np.ndarray, int]:
                          f"(format={audio_format}, bits={bits})")
     if channels != 1:
         raise ValueError(f"{path}: only mono supported, got {channels} channels")
+    if len(data) % 2:
+        raise ValueError(f"{path}: data chunk holds {len(data)} bytes, not a "
+                         "whole number of 16-bit samples")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     return samples, sample_rate
 
@@ -136,12 +141,10 @@ def _hann(length: int) -> np.ndarray:
 
 
 def _frame_signal(x: np.ndarray, cfg: MelConfig) -> np.ndarray:
+    """Strided read-only view [N, frame_length] of the reflect-padded signal."""
     n_frames = int(np.ceil(len(x) / cfg.hop))
-    pad = cfg.frame_length // 2
-    xpad = np.pad(x, pad, mode="reflect")
-    starts = np.arange(n_frames) * cfg.hop
-    idx = starts[:, None] + np.arange(cfg.frame_length)[None, :]
-    return xpad[idx]
+    xpad = np.pad(x, cfg.frame_length // 2, mode="reflect")
+    return sliding_window_view(xpad, cfg.frame_length)[::cfg.hop][:n_frames]
 
 
 def stft(x: np.ndarray, cfg: MelConfig) -> np.ndarray:

@@ -56,7 +56,12 @@ class Module:
         return self
 
     def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Copy in every parameter from state[prefix + name]; a key under the
+        prefix that names no parameter is rejected."""
         params = self.named_parameters()
+        for key in state:
+            if key.startswith(prefix) and key[len(prefix):] not in params:
+                raise ValueError(f"checkpoint has unexpected parameter '{key}'")
         for name, tensor in params.items():
             key = prefix + name
             if key not in state:
@@ -112,19 +117,15 @@ class Linear(Module):
         return T.matmul(x, self.weight) + self.bias
 
 
-def channel_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-                       eps: float = 1e-6) -> Tensor:
-    """LayerNorm over the channel axis of [B, Ch, L]."""
-    return T.layer_norm(x, gain, bias, axis=1, eps=eps)
-
-
 class LayerNorm(Module):
+    """LayerNorm over the channel axis of [B, Ch, L]."""
+
     def __init__(self, channels: int):
         self.gain = Tensor(np.ones(channels), requires_grad=True)
         self.bias = Tensor(np.zeros(channels), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return channel_layer_norm(x, self.gain, self.bias)
+        return T.layer_norm(x, self.gain, self.bias, axis=1, eps=1e-6)
 
 
 class GroupNorm(Module):

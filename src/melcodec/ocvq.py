@@ -9,7 +9,7 @@ distance, relocating dead codes into poorly covered regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,6 @@ def init_codebook(k: int, c: int, rng: np.random.Generator) -> Codebook:
 class TokenSequence:
     tokens: np.ndarray
     codebook_size: int
-    downsample: int | None = None  # r
-    hop: int | None = None         # w_s, samples
-    sample_rate: int | None = None
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
@@ -96,11 +93,6 @@ def quantize(z: np.ndarray | Tensor, cb: Codebook) -> tuple[TokenSequence, np.nd
     dists = _pairwise_distances(z, cb.weight.data)
     tokens = np.argmin(dists, axis=1)  # argmin returns the first minimum
     return TokenSequence(tokens, cb.size), cb.weight.data[tokens].copy()
-
-
-def bitrate(sample_rate: float, downsample: int, hop: int, k: int) -> float:
-    """Token bitrate in bits per second: f_s / (r * w_s) * log2(K)."""
-    return sample_rate / (downsample * hop) * np.log2(k)
 
 
 def update_usage_ema(state: ClusterState, counts: np.ndarray, n_batch: int) -> ClusterState:

@@ -15,23 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coding as coding_mod
-from . import dsp, nn, ocvq
+from . import dsp, nn
 from . import tensor as T
 from .dsp import MelConfig, MelSpectrogram
 from .tensor import Tensor
-
-
-@dataclass
-class FlowState:
-    m: np.ndarray   # [N, D]
-    t: float
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=np.float64)
-        if not (0.0 <= self.t <= 1.0):
-            raise ValueError(f"flow time {self.t} outside [0, 1]")
-        if not np.all(np.isfinite(self.m)):
-            raise ValueError("flow state contains non-finite values")
 
 
 @dataclass
@@ -72,30 +59,6 @@ class RefineConfig:
 # ---------------------------------------------------------------------------
 # flow primitives
 # ---------------------------------------------------------------------------
-
-def interpolate_state(m0: np.ndarray, m: np.ndarray, t: float) -> FlowState:
-    """Linear path M_t = (1-t) M0 + t M."""
-    m0 = np.asarray(m0, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    if m0.shape != m.shape:
-        raise ValueError(f"shape mismatch: {m0.shape} vs {m.shape}")
-    return FlowState((1.0 - t) * m0 + t * m, t)
-
-
-def ideal_terminal_operator(state: FlowState, v: np.ndarray) -> np.ndarray:
-    """One-jump extrapolation M_t + (1-t) V to the trajectory endpoint."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != state.m.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs {state.m.shape}")
-    return state.m + (1.0 - state.t) * v
-
-
-def rollout_step(state: FlowState, dt: float, v: np.ndarray) -> FlowState:
-    """One Euler step (M_t + dt * V, t + dt); requires t + dt <= 1."""
-    if state.t + dt > 1.0 + 1e-12:
-        raise ValueError(f"rollout leaves [0, 1]: t={state.t}, dt={dt}")
-    return FlowState(state.m + dt * np.asarray(v), min(state.t + dt, 1.0))
-
 
 def euler_solve(m0: np.ndarray, cond: np.ndarray, field, iterations: int) -> np.ndarray:
     """Integrate dM/dt = field(M, t, cond) from t=0 to 1 with I Euler steps.
@@ -201,40 +164,22 @@ class VelocityNet(nn.Module):
     # -- inference adapter ---------------------------------------------------
 
     def velocity(self, m: np.ndarray, t: float, cond: np.ndarray) -> np.ndarray:
-        """Single-utterance [N, D] forward in eval mode."""
-        state = FlowState(m, t)
-        return velocity_field(state, cond, self)
-
-
-def _pad_length(n: int, factor: int) -> int:
-    return (-n) % factor
-
-
-def _pad_time_axis(arrays: list[np.ndarray], factor: int) -> tuple[list[np.ndarray], int]:
-    """Edge-repeat [B, D, L] arrays along L to the next multiple of factor."""
-    pad = _pad_length(arrays[0].shape[-1], factor)
-    if pad:
-        arrays = [np.concatenate([a, np.repeat(a[..., -1:], pad, axis=-1)], axis=-1)
-                  for a in arrays]
-    return arrays, pad
-
-
-def velocity_field(state: FlowState, cond: np.ndarray, net: VelocityNet) -> np.ndarray:
-    """v_theta(M_t, t, cond) for one utterance [N, D]; deterministic in eval."""
-    cond = np.asarray(cond.data if isinstance(cond, MelSpectrogram) else cond,
-                      dtype=np.float64)
-    if cond.shape != state.m.shape:
-        raise ValueError(f"condition shape {cond.shape} != state {state.m.shape}")
-    factor = 2 ** net.cfg.n_updown
-    n = state.m.shape[0]
-    (m_in, c_in), _ = _pad_time_axis([state.m.T[None], cond.T[None]], factor)
-    was_training = net.training
-    net.eval()
-    with T.no_grad():
-        v = net(Tensor(m_in), np.array([state.t]), Tensor(c_in))
-    if was_training:
-        net.train()
-    return v.data[0].T[:n].copy()
+        """v(M_t, t, cond) for one utterance [N, D]; deterministic, as it
+        runs in eval mode."""
+        m = np.asarray(m, dtype=np.float64)
+        cond = np.asarray(cond, dtype=np.float64)
+        if cond.shape != m.shape:
+            raise ValueError(f"condition shape {cond.shape} != state {m.shape}")
+        factor = 2 ** self.cfg.n_updown
+        m_in = coding_mod.pad_edge(m.T[None], factor, axis=-1)
+        c_in = coding_mod.pad_edge(cond.T[None], factor, axis=-1)
+        was_training = self.training
+        self.eval()
+        with T.no_grad():
+            v = self(Tensor(m_in), np.array([t]), Tensor(c_in))
+        if was_training:
+            self.train()
+        return v.data[0].T[:m.shape[0]].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +269,8 @@ def _precompute_pairs(clips, coding_model, mel_cfg: MelConfig) -> list:
     pairs = []
     for clip in clips:
         mel = dsp.mel_spectrogram(clip, mel_cfg)
-        z = coding_mod.encode(mel, coding_model)
-        _, z_hat = ocvq.quantize(z, coding_model.codebook_obj)
-        pad = coding_mod.frame_padding(mel.n_frames, coding_model.cfg.downsample)
-        m_tilde = coding_mod.decode(z_hat, coding_model, pad).data
-        pairs.append((mel.data, m_tilde))
+        tokens, pad = coding_mod.tokenize(mel, coding_model)
+        pairs.append((mel.data, coding_mod.detokenize(tokens, pad, coding_model).data))
     return pairs
 
 
@@ -349,10 +291,9 @@ def _coarse_mel_batch(pairs, mel_cfg: MelConfig, cfg: RefineConfig,
         offset = int(rng.integers(m.shape[0] - frames + 1))
         nat.append(m[offset:offset + frames])
         coarse.append(m_tilde[offset:offset + frames])
-    x = np.stack(nat).swapaxes(1, 2)  # [B, D, L]
-    m_t = np.stack(coarse).swapaxes(1, 2)
     factor = 2 ** cfg.n_updown
-    (x, m_t), _ = _pad_time_axis([x, m_t], factor)
+    x = coding_mod.pad_edge(np.stack(nat).swapaxes(1, 2), factor, axis=-1)  # [B, D, L]
+    m_t = coding_mod.pad_edge(np.stack(coarse).swapaxes(1, 2), factor, axis=-1)
     return x, m_t
 
 
@@ -424,13 +365,3 @@ def _save_bundle(path, coding_model, net: VelocityNet) -> None:
     state = coding_model.state_dict(prefix="coding/")
     state.update(net.state_dict(prefix="refine/"))
     T.save_checkpoint(path, state)
-
-
-def load_velocity_net(checkpoint_path, n_mels: int, cfg: RefineConfig) -> VelocityNet:
-    state = T.load_checkpoint(checkpoint_path)
-    if not any(key.startswith("refine/") for key in state):
-        raise ValueError(f"{checkpoint_path}: no refinement stage in checkpoint")
-    net = VelocityNet(n_mels, cfg, np.random.default_rng(0))
-    net.load_state(state, prefix="refine/")
-    net.eval()
-    return net

@@ -9,7 +9,7 @@ gradients additively into the leaves. Callers zero gradients between steps.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf as _scipy_erf
@@ -757,11 +757,6 @@ def backward(root: Tensor) -> None:
             node.grad = None
 
 
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -816,7 +811,8 @@ class AdamW:
                    self.weight_decay)
 
     def zero_grad(self) -> None:
-        zero_grads(self.params.values())
+        for p in self.params.values():
+            p.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -841,26 +837,31 @@ def save_checkpoint(path, named_params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Inverse of `save_checkpoint`; a file that ends inside an entry is
+    rejected with the part and the entry it ends in."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {blob[:4]!r}")
-    (count,) = struct.unpack_from("<I", blob, 4)
-    offset = 8
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 8 if ndim else 8
-        arr = np.frombuffer(blob[offset:offset + n_bytes], dtype="<f8").reshape(shape)
+    offset = 4
+
+    def take(n_bytes: int, what: str) -> bytes:
+        nonlocal offset
+        if offset + n_bytes > len(blob):
+            raise ValueError(f"{path}: checkpoint truncated in {what}")
         offset += n_bytes
-        out[name] = arr.astype(np.float64)
+        return blob[offset - n_bytes:offset]
+
+    (count,) = struct.unpack("<I", take(4, "the header"))
+    out: dict[str, np.ndarray] = {}
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"the name of entry {i}"))
+        name = take(name_len, f"the name of entry {i}").decode("utf-8")
+        ndim = take(1, f"the dims of '{name}'")[0]
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the dims of '{name}'"))
+        n_bytes = int(np.prod(shape, dtype=np.int64)) * 8 if ndim else 8
+        data = take(n_bytes, f"the data of '{name}'")
+        out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
     if offset != len(blob):
         raise ValueError("trailing bytes after last checkpoint entry")
     return out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from melcodec import coding, config, dsp, refine
+from melcodec.codec import Codec
 
 
 def _harmonic_stack(phase, rolloff, formant, bandwidth, f_inst, n_harm=13):
@@ -115,6 +116,5 @@ def trained_refine(toy_corpus, trained_coding_oc, tmp_path_factory, desk_cfg):
     p1_path = outdir / "refine_phase1.fmck"
     net = refine.train_refine(toy_corpus, model, desk_cfg, final_path,
                               phase1_checkpoint_out=p1_path)
-    net_p1 = refine.load_velocity_net(p1_path, desk_cfg.mel.n_mels,
-                                      desk_cfg.refine)
+    net_p1 = Codec.load(p1_path, desk_cfg).net
     return net_p1, net, final_path

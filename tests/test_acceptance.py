@@ -32,10 +32,8 @@ def check(criterion: int, description: str, passed: bool, detail: str = ""):
 
 
 def coarse_mel(mel: MelSpectrogram, model) -> np.ndarray:
-    z = coding.encode(mel, model)
-    _, z_hat = ocvq.quantize(z, model.codebook_obj)
-    pad = coding.frame_padding(mel.n_frames, model.cfg.downsample)
-    return coding.decode(z_hat, model, pad).data
+    tokens, pad = coding.tokenize(mel, model)
+    return coding.detokenize(tokens, pad, model).data
 
 
 class TestCriterion1Bitrate:
@@ -47,7 +45,7 @@ class TestCriterion1Bitrate:
         sr = cfg.mel.sample_rate
         wav_path = tmp_path / "ten_seconds.wav"
         dsp.save_wav(wav_path, synth_clip(np.random.default_rng(0), 10.0, sr), sr)
-        model = coding.build_coding_model(cfg.mel, cfg.coding, seed=0)
+        model = coding.CodingModel(cfg.mel, cfg.coding, np.random.default_rng(0))
         ckpt = tmp_path / "model.fmck"
         T.save_checkpoint(ckpt, model.state_dict(prefix="coding/"))
         config.to_json(cfg, str(ckpt) + ".json")

@@ -69,7 +69,7 @@ def desk_ckpt(tmp_path_factory):
     """Untrained desk-size two-stage checkpoint plus config sidecar."""
     cfg = config.preset("desk")
     outdir = tmp_path_factory.mktemp("cli_models")
-    model = coding.build_coding_model(cfg.mel, cfg.coding, seed=1)
+    model = coding.CodingModel(cfg.mel, cfg.coding, np.random.default_rng(1))
     net = refine.VelocityNet(cfg.mel.n_mels, cfg.refine, np.random.default_rng(2))
     state = model.state_dict(prefix="coding/")
     state.update(net.state_dict(prefix="refine/"))
@@ -214,6 +214,66 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "8000" in err
+        assert not out.exists()
+
+
+class TestStrictCheckpoint:
+    def encode_fails(self, state, sample_wav, tmp_path, capsys):
+        cfg = config.preset("desk")  # 2 ConvNeXt blocks per side
+        path = tmp_path / "model.fmck"
+        T.save_checkpoint(path, state)
+        config.to_json(cfg, str(path) + ".json")
+        out = tmp_path / "x.fmb"
+        capsys.readouterr()
+        rc = cli.main(["encode", "--in", str(sample_wav), "--model", str(path),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    def test_more_blocks_than_the_sidecar_rejected(self, sample_wav, tmp_path,
+                                                   capsys):
+        cfg = config.preset("desk")
+        cfg.coding = dataclasses.replace(cfg.coding, n_blocks=4)
+        model = coding.CodingModel(cfg.mel, cfg.coding, np.random.default_rng(1))
+        err = self.encode_fails(model.state_dict(prefix="coding/"), sample_wav,
+                                tmp_path, capsys)
+        assert "coding/encoder.blocks.2." in err
+
+    def test_entry_outside_both_stages_rejected(self, sample_wav, tmp_path,
+                                                capsys):
+        cfg = config.preset("desk")
+        model = coding.CodingModel(cfg.mel, cfg.coding, np.random.default_rng(1))
+        state = model.state_dict(prefix="coding/")
+        state["vocoder/w"] = np.zeros(2)
+        err = self.encode_fails(state, sample_wav, tmp_path, capsys)
+        assert "vocoder/w" in err
+
+
+class TestStreamGeometry:
+    @pytest.mark.parametrize("count,pad", [(None, 4), (None, 200), (0, 0)])
+    def test_impossible_padding_or_empty_stream_rejected(self, desk_ckpt,
+                                                         sample_wav, tmp_path,
+                                                         capsys, count, pad):
+        # desk r = 4: an encoder pads 0-3 frames and writes at least one token
+        model_path, _ = desk_ckpt
+        fmb = tmp_path / "clip.fmb"
+        assert cli.main(["encode", "--in", str(sample_wav), "--model",
+                         str(model_path), "--out", str(fmb)]) == 0
+        header, seq = bs.read_stream(fmb)
+        tokens = seq.tokens if count is None else seq.tokens[:count]
+        bs.write_stream(fmb, dataclasses.replace(
+            header, token_count=len(tokens), pad_frames=pad), tokens)
+        capsys.readouterr()
+        out = tmp_path / "y.wav"
+        rc = cli.main(["decode", "--in", str(fmb), "--model", str(model_path),
+                       "--out", str(out), "--iters", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{pad} pad frames" in err
         assert not out.exists()
 
 

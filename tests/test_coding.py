@@ -22,9 +22,13 @@ def tiny_mel_cfg(n_mels=8):
     return MelConfig(n_mels=n_mels)
 
 
+def untrained(cfg, seed=0):
+    return coding.CodingModel(cfg.mel, cfg.coding, np.random.default_rng(seed))
+
+
 class TestShapes:
     def test_encode_shape_chain(self, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=0)
+        model = untrained(desk_cfg)
         mel = MelSpectrogram(np.random.default_rng(0).normal(size=(100, 80)),
                              desk_cfg.mel)
         z = coding.encode(mel, model)
@@ -33,7 +37,7 @@ class TestShapes:
         assert out.data.shape == (100, 80)
 
     def test_padding_when_not_divisible(self, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=0)
+        model = untrained(desk_cfg)
         mel = MelSpectrogram(np.random.default_rng(1).normal(size=(101, 80)),
                              desk_cfg.mel)
         z = coding.encode(mel, model)
@@ -43,13 +47,29 @@ class TestShapes:
         out = coding.decode(z, model, pad_frames_count=pad)
         assert out.data.shape == (101, 80)
 
+    def test_pad_edge_repeats_last_entry(self):
+        a = np.arange(10.0).reshape(5, 2)
+        np.testing.assert_array_equal(coding.pad_edge(a, 4),
+                                      np.vstack([a] + [a[-1:]] * 3))
+        np.testing.assert_array_equal(coding.pad_edge(a.T[None], 4, axis=-1)[0].T,
+                                      coding.pad_edge(a, 4))
+        assert coding.pad_edge(a, 5) is a
+
+    def test_tokenize_detokenize_shapes(self, desk_cfg):
+        model = untrained(desk_cfg)
+        mel = MelSpectrogram(np.random.default_rng(12).normal(size=(101, 80)),
+                             desk_cfg.mel)
+        tokens, pad = coding.tokenize(mel, model)
+        assert tokens.shape == (26,) and pad == 3
+        assert coding.detokenize(tokens, pad, model).data.shape == (101, 80)
+
     def test_frame_padding_values(self):
         assert coding.frame_padding(100, 4) == 0
         assert coding.frame_padding(101, 4) == 3
         assert coding.frame_padding(103, 4) == 1
 
     def test_shape_chain_various_lengths(self, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=0)
+        model = untrained(desk_cfg)
         for n in (4, 17, 50, 99):
             mel = MelSpectrogram(np.random.default_rng(n).normal(size=(n, 80)),
                                  desk_cfg.mel)
@@ -59,12 +79,12 @@ class TestShapes:
             assert out.data.shape == (n, 80)
 
     def test_empty_input_rejected(self, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=0)
+        model = untrained(desk_cfg)
         with pytest.raises(ValueError):
             coding.encode(MelSpectrogram(np.zeros((0, 80)), desk_cfg.mel), model)
 
     def test_constant_input_finite(self, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=0)
+        model = untrained(desk_cfg)
         mel = MelSpectrogram(np.full((40, 80), -3.0), desk_cfg.mel)
         z = coding.encode(mel, model)
         assert np.all(np.isfinite(z))
@@ -72,7 +92,7 @@ class TestShapes:
 
 class TestDeterminism:
     def test_encode_decode_eval_deterministic(self, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=0)
+        model = untrained(desk_cfg)
         mel = MelSpectrogram(np.random.default_rng(2).normal(size=(48, 80)),
                              desk_cfg.mel)
         z1, z2 = coding.encode(mel, model), coding.encode(mel, model)
@@ -81,7 +101,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(d1.data, d2.data)
 
     def test_zeroed_output_conv_gives_bias_rows(self, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=0)
+        model = untrained(desk_cfg)
         model.decoder.conv_out.weight.data[:] = 0.0
         model.decoder.conv_out.bias.data[:] = np.arange(80) * 0.1
         out = coding.decode(np.zeros((10, 32)), model)
@@ -98,33 +118,24 @@ class TestLosses:
         assert coding.mel_rec_loss(m, Tensor(np.ones((3, 3)))).item() == pytest.approx(2.0)
         assert coding.mel_rec_loss(m, Tensor(np.full((3, 3), 2.0))).item() == pytest.approx(6.0)
 
-    def test_total_loss_weighting(self):
-        cfg = coding.CodingConfig()  # lambda_mel_rec 45, lambda_vq 2.5, eta 4
-        # residual r with |r| + r^2 = 1, and s with (1 + eta) s^2 = 1
-        r = (np.sqrt(5.0) - 1.0) / 2.0
-        s = 1.0 / np.sqrt(5.0)
-        m = Tensor(np.zeros((2, 2)))
-        m_tilde = Tensor(np.full((2, 2), r))
-        z = Tensor(np.zeros((3, 2)), requires_grad=True)
-        z_hat = Tensor(np.full((3, 2), s), requires_grad=True)
-        total = coding.coding_total_loss(m, m_tilde, z, z_hat, cfg)
-        assert total.item() == pytest.approx(45.0 + 2.5, rel=1e-12)
+    @staticmethod
+    def step_losses(cfg, seed):
+        model = coding.CodingModel(tiny_mel_cfg(), cfg, np.random.default_rng(seed))
+        opt = T.AdamW(model.named_parameters(), lr=1e-4)
+        batch = np.random.default_rng(seed + 1).normal(size=(2, 8, 8))
+        return coding.coding_step(model, batch, opt, np.random.default_rng(seed + 2))
 
-    def test_perfect_reconstruction_zero(self):
-        cfg = coding.CodingConfig()
-        m = Tensor(np.random.default_rng(4).normal(size=(4, 4)))
-        z = Tensor(np.random.default_rng(5).normal(size=(2, 3)), requires_grad=True)
-        assert coding.coding_total_loss(m, m, z, z, cfg).item() == 0.0
+    def test_total_loss_weighting(self):
+        # the step's total is lambda_mel_rec * mel_rec + lambda_vq * vq
+        out = self.step_losses(tiny_cfg(), seed=4)
+        assert out["vq"] > 0 and out["mel_rec"] > 0
+        assert out["total"] == pytest.approx(45.0 * out["mel_rec"] + 2.5 * out["vq"],
+                                             rel=1e-12)
 
     def test_zero_vq_weight_reduces_to_reconstruction(self):
-        cfg = dataclasses.replace(coding.CodingConfig(), lambda_vq=0.0)
-        rng = np.random.default_rng(6)
-        m, m_tilde = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        z = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        z_hat = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        total = coding.coding_total_loss(m, Tensor(m_tilde), z, z_hat, cfg)
-        expected = 45.0 * coding.mel_rec_loss(m, Tensor(m_tilde)).item()
-        assert total.item() == pytest.approx(expected, rel=1e-12)
+        out = self.step_losses(tiny_cfg(lambda_vq=0.0), seed=6)
+        assert out["vq"] > 0
+        assert out["total"] == pytest.approx(45.0 * out["mel_rec"], rel=1e-12)
 
 
 def full_coding_gradcheck(model, batch, rtol=1e-3, atol=1e-6, max_coords=3,
@@ -238,7 +249,7 @@ class TestTraining:
         assert np.mean(total[-50:]) < np.mean(total[:50])
 
     def test_nonfinite_loss_aborts(self, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=0)
+        model = untrained(desk_cfg)
         model.train()
         model.encoder.conv_in.weight.data[:] = 1e200  # force overflow
         opt = T.AdamW(model.named_parameters(), lr=1e-4)
@@ -267,8 +278,7 @@ class TestTraining:
                       betas=(cfg.beta1, cfg.beta2), weight_decay=0.0)
         clip, _ = dsp.load_wav(toy_corpus[0])
         mel = dsp.mel_spectrogram(clip[:8000], mel_cfg).data  # one fixed sample
-        batch = mel[None]
-        batch, _ = coding._pad_batch_frames(batch, cfg.downsample)
+        batch = coding.pad_edge(mel[None], cfg.downsample, axis=1)
         final = np.inf
         for step in range(2000):
             out = coding.coding_step(model, batch, opt, rng)
@@ -280,7 +290,7 @@ class TestTraining:
 
 class TestCheckpointRoundTrip:
     def test_save_load_model(self, tmp_path, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=3)
+        model = untrained(desk_cfg, seed=3)
         path = tmp_path / "model.fmck"
         T.save_checkpoint(path, model.state_dict(prefix="coding/"))
         loaded = coding.load_coding_model(path, desk_cfg.mel, desk_cfg.coding)

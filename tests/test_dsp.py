@@ -123,6 +123,22 @@ class TestWavIO:
         with pytest.raises(ValueError):
             dsp.load_wav(path)
 
+    def test_odd_length_data_chunk(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        dsp.save_wav(path, np.zeros(100), 16000)
+        blob = bytearray(path.read_bytes())
+        blob[40:44] = (199).to_bytes(4, "little")  # data size, one byte short
+        path.write_bytes(bytes(blob[:-1]))
+        with pytest.raises(ValueError, match="not a whole number of 16-bit"):
+            dsp.load_wav(path)
+
+    def test_short_fmt_chunk(self, tmp_path):
+        path = tmp_path / "short_fmt.wav"
+        path.write_bytes(b"RIFF" + (20).to_bytes(4, "little") + b"WAVE"
+                         + b"fmt " + (16).to_bytes(4, "little") + b"\x01\x00\x01\x00")
+        with pytest.raises(ValueError, match="fmt chunk holds 4 bytes"):
+            dsp.load_wav(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"NOTAWAVEFILE" + b"\x00" * 32)
@@ -177,6 +193,16 @@ class TestStft:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             dsp.stft(np.array([]), CFG)
+
+    @pytest.mark.parametrize("hop", [160, 150])
+    def test_frames_are_the_padded_slices(self, hop):
+        cfg = MelConfig(hop=hop)
+        x = np.random.default_rng(2).normal(size=3001)
+        xpad = np.pad(x, cfg.frame_length // 2, mode="reflect")
+        frames = dsp._frame_signal(x, cfg)
+        assert frames.shape == (int(np.ceil(3001 / hop)), cfg.frame_length)
+        for i, frame in enumerate(frames):
+            np.testing.assert_array_equal(frame, xpad[i * hop:i * hop + cfg.frame_length])
 
 
 class TestFilterbank:

@@ -243,3 +243,12 @@ class TestModuleContainer:
         block = nn.ConvNeXtBlock(4, np.random.default_rng(33))
         with pytest.raises(KeyError):
             block.load_state({})
+
+    def test_unexpected_key_rejected(self):
+        block = nn.ConvNeXtBlock(4, np.random.default_rng(34))
+        state = block.state_dict(prefix="enc/")
+        state["other/w"] = np.zeros(3)  # outside the prefix: not this module's
+        block.load_state(state, prefix="enc/")
+        state["enc/pw3.weight"] = np.zeros(3)
+        with pytest.raises(ValueError, match="unexpected parameter 'enc/pw3.weight'"):
+            block.load_state(state, prefix="enc/")

@@ -67,15 +67,6 @@ class TestQuantize:
             ocvq.quantize(np.zeros((5, 2)), cb)
 
 
-class TestBitrate:
-    def test_paper_rates(self):
-        assert ocvq.bitrate(16000, 4, 160, 1024) == pytest.approx(250.0)
-        assert ocvq.bitrate(48000, 4, 160, 1024) == pytest.approx(750.0)
-
-    def test_one_bit_per_second(self):
-        assert ocvq.bitrate(16000, 1, 16000, 2) == pytest.approx(1.0)
-
-
 class TestUsageEma:
     def test_zero_init_single_step(self):
         state = ocvq.init_cluster_state(4)

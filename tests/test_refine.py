@@ -6,7 +6,8 @@ from scipy import stats
 
 from melcodec import coding, config, refine
 from melcodec import tensor as T
-from melcodec.refine import FlowState, RefineConfig
+from melcodec.codec import Codec
+from melcodec.refine import RefineConfig
 from melcodec.tensor import Tensor
 
 
@@ -17,83 +18,99 @@ def tiny_refine_cfg(**overrides):
     return RefineConfig(**base)
 
 
+def cfm_state(m0, m, t):
+    """The state M_t that cfm_loss hands the field at time t."""
+    seen = []
+
+    class Recorder:
+        def __call__(self, m_t, t, cond, rng=None):
+            seen.append(m_t.data[0].copy())
+            return m_t * 0.0
+
+    refine.cfm_loss(Recorder(), Tensor(m0[None]), Tensor(m[None]),
+                    Tensor(np.zeros((1,) + m.shape)), np.array([t]))
+    return seen[0]
+
+
+def rollout(field, seed=30):
+    """(state, time) pairs self_consistency_loss hands a field: the sampled
+    state, then the state one Euler step later."""
+    calls = []
+
+    class Recorder:
+        def __call__(self, m_t, t, cond, rng=None):
+            calls.append((m_t.data.copy(), np.asarray(t).copy()))
+            return Tensor(field(m_t.data))
+
+    rng = np.random.default_rng(seed)
+    m0, m = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+    refine.self_consistency_loss(Recorder(), Tensor(m0), Tensor(m),
+                                 Tensor(np.zeros((2, 3, 4))),
+                                 np.random.default_rng(seed + 1),
+                                 tiny_refine_cfg())
+    return calls
+
+
 class TestInterpolateState:
     def test_endpoints(self):
         rng = np.random.default_rng(0)
         m0, m = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(refine.interpolate_state(m0, m, 0.0).m, m0)
-        np.testing.assert_array_equal(refine.interpolate_state(m0, m, 1.0).m, m)
+        np.testing.assert_array_equal(cfm_state(m0, m, 0.0), m0)
+        np.testing.assert_array_equal(cfm_state(m0, m, 1.0), m)
 
     def test_midpoint(self):
         m0, m = np.zeros((2, 2)), np.ones((2, 2))
-        np.testing.assert_array_equal(refine.interpolate_state(m0, m, 0.5).m,
-                                      np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(cfm_state(m0, m, 0.5), np.full((2, 2), 0.5))
 
     def test_time_derivative_constant(self):
         rng = np.random.default_rng(1)
         m0, m = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         h = 1e-6
         for t in (0.2, 0.5, 0.8):
-            diff = (refine.interpolate_state(m0, m, t + h).m
-                    - refine.interpolate_state(m0, m, t - h).m) / (2 * h)
+            diff = (cfm_state(m0, m, t + h) - cfm_state(m0, m, t - h)) / (2 * h)
             np.testing.assert_allclose(diff, m - m0, atol=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            refine.interpolate_state(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
+            cfm_state(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
 
     def test_time_bounds(self):
+        net = refine.VelocityNet(2, tiny_refine_cfg(), np.random.default_rng(2))
+        m = Tensor(np.zeros((1, 2, 4)))
         with pytest.raises(ValueError):
-            refine.interpolate_state(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)
+            refine.cfm_loss(net, m, m, m, np.array([1.5]))
 
 
 class TestIdealTerminalOperator:
-    def test_t_one_returns_state(self):
-        rng = np.random.default_rng(2)
-        m = rng.normal(size=(4, 3))
-        v = rng.normal(size=(4, 3)) * 100
-        np.testing.assert_array_equal(
-            refine.ideal_terminal_operator(FlowState(m, 1.0), v), m)
+    """Euler integration of the straight-path field lands on the endpoint."""
 
     def test_exact_velocity_recovers_target(self):
         rng = np.random.default_rng(3)
         m0, m = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        for t in (0.0, 0.3, 0.77, 1.0):
-            state = refine.interpolate_state(m0, m, t)
-            out = refine.ideal_terminal_operator(state, m - m0)
+        for iters in (1, 3, 4, 32):
+            out = refine.euler_solve(m0, None, lambda m_t, t, cond: m - m0, iters)
             np.testing.assert_allclose(out, m, atol=1e-12)
 
     def test_zero_velocity_at_origin(self):
         m0 = np.random.default_rng(4).normal(size=(2, 2))
-        out = refine.ideal_terminal_operator(FlowState(m0, 0.0), np.zeros((2, 2)))
+        out = refine.euler_solve(m0, None, lambda m_t, t, cond: np.zeros((2, 2)), 4)
         np.testing.assert_array_equal(out, m0)
 
 
 class TestRolloutStep:
+    """The self-consistency rollout: one Euler step of the held prediction."""
+
     def test_zero_step(self):
-        m = np.random.default_rng(5).normal(size=(3, 3))
-        out = refine.rollout_step(FlowState(m, 0.4), 0.0, np.zeros((3, 3)))
-        np.testing.assert_array_equal(out.m, m)
-        assert out.t == 0.4
+        (m_t, t), (m_next, t_next) = rollout(np.zeros_like)
+        np.testing.assert_array_equal(m_next, m_t)
+        assert np.all(t_next > t)
 
     def test_unit_velocity(self):
-        out = refine.rollout_step(FlowState(np.zeros((2, 2)), 0.0), 0.01,
-                                  np.ones((2, 2)))
-        np.testing.assert_allclose(out.m, 0.01)
-        assert out.t == pytest.approx(0.01)
-
-    def test_two_half_steps_compose(self):
-        m = np.random.default_rng(6).normal(size=(2, 2))
-        v = np.random.default_rng(7).normal(size=(2, 2))
-        one = refine.rollout_step(FlowState(m, 0.1), 0.2, v)
-        half = refine.rollout_step(refine.rollout_step(FlowState(m, 0.1), 0.1, v),
-                                   0.1, v)
-        np.testing.assert_allclose(half.m, one.m, atol=1e-15)
-
-    def test_overshoot_rejected(self):
-        with pytest.raises(ValueError):
-            refine.rollout_step(FlowState(np.zeros((1, 1)), 0.95), 0.1,
-                                np.zeros((1, 1)))
+        (m_t, t), (m_next, t_next) = rollout(np.ones_like)
+        dt = (t_next - t).reshape(-1, 1, 1)
+        np.testing.assert_allclose(m_next, m_t + dt, atol=1e-12)
+        cfg = tiny_refine_cfg()
+        assert np.all((dt >= cfg.dt_min) & (dt <= cfg.dt_max + 1e-12))
 
 
 class TestEulerSolve:
@@ -237,27 +254,30 @@ class TestVelocityNet:
     def test_output_shape_and_padding(self):
         cfg = tiny_refine_cfg()
         net = refine.VelocityNet(6, cfg, np.random.default_rng(17))
-        state = FlowState(np.random.default_rng(18).normal(size=(7, 6)), 0.25)
+        m = np.random.default_rng(18).normal(size=(7, 6))
         cond = np.random.default_rng(19).normal(size=(7, 6))
-        v = refine.velocity_field(state, cond, net)
-        assert v.shape == (7, 6)
+        assert net.velocity(m, 0.25, cond).shape == (7, 6)
+
+    def test_condition_shape_mismatch_rejected(self):
+        net = refine.VelocityNet(6, tiny_refine_cfg(), np.random.default_rng(17))
+        with pytest.raises(ValueError, match="condition shape"):
+            net.velocity(np.zeros((8, 6)), 0.5, np.zeros((7, 6)))
 
     def test_zeroed_head_gives_bias(self):
         cfg = tiny_refine_cfg()
         net = refine.VelocityNet(6, cfg, np.random.default_rng(20))
         net.head2.weight.data[:] = 0.0
         net.head2.bias.data[:] = np.arange(6) * 0.5
-        state = FlowState(np.zeros((8, 6)), 0.5)
-        v = refine.velocity_field(state, np.zeros((8, 6)), net)
+        v = net.velocity(np.zeros((8, 6)), 0.5, np.zeros((8, 6)))
         np.testing.assert_allclose(v, np.tile(np.arange(6) * 0.5, (8, 1)))
 
     def test_eval_mode_deterministic(self):
         cfg = tiny_refine_cfg(dropout=0.1)
         net = refine.VelocityNet(6, cfg, np.random.default_rng(21))
-        state = FlowState(np.random.default_rng(22).normal(size=(8, 6)), 0.3)
+        m = np.random.default_rng(22).normal(size=(8, 6))
         cond = np.random.default_rng(23).normal(size=(8, 6))
-        v1 = refine.velocity_field(state, cond, net)
-        v2 = refine.velocity_field(state, cond, net)
+        v1 = net.velocity(m, 0.3, cond)
+        v2 = net.velocity(m, 0.3, cond)
         np.testing.assert_array_equal(v1, v2)
 
     def test_eval_counter(self):
@@ -367,7 +387,7 @@ class TestTrainRefine:
         cfg = config.preset("desk")
         cfg.refine = dataclasses.replace(cfg.refine, phase1_steps=4,
                                          phase2_steps=2, batch_size=2)
-        model = coding.build_coding_model(cfg.mel, cfg.coding, seed=0)
+        model = coding.CodingModel(cfg.mel, cfg.coding, np.random.default_rng(0))
         out = tmp_path / "refine.fmck"
         net = refine.train_refine(toy_corpus, model, cfg, out)
         assert out.exists()
@@ -376,13 +396,14 @@ class TestTrainRefine:
         assert any(k.startswith("refine/") for k in state)
         csv_text = (tmp_path / "refine.fmck.loss.csv").read_text()
         assert csv_text.count("\n") == 7  # header + 6 steps
-        loaded = refine.load_velocity_net(out, cfg.mel.n_mels, cfg.refine)
+        loaded = Codec.load(out, cfg).net
         for key, val in net.state_dict().items():
             np.testing.assert_array_equal(loaded.state_dict()[key], val)
 
     def test_zero_lambda_phase2_extends_phase1(self, toy_corpus, tmp_path):
         model_cfg = config.preset("desk")
-        model = coding.build_coding_model(model_cfg.mel, model_cfg.coding, seed=0)
+        model = coding.CodingModel(model_cfg.mel, model_cfg.coding,
+                                   np.random.default_rng(0))
 
         cfg_a = config.preset("desk")
         cfg_a.refine = dataclasses.replace(cfg_a.refine, phase1_steps=6,
@@ -397,8 +418,9 @@ class TestTrainRefine:
         assert (tmp_path / "a.fmck").read_bytes() == (tmp_path / "b.fmck").read_bytes()
 
     def test_missing_refine_stage_rejected(self, tmp_path, desk_cfg):
-        model = coding.build_coding_model(desk_cfg.mel, desk_cfg.coding, seed=0)
+        model = coding.CodingModel(desk_cfg.mel, desk_cfg.coding,
+                                   np.random.default_rng(0))
         path = tmp_path / "coding_only.fmck"
         T.save_checkpoint(path, model.state_dict(prefix="coding/"))
-        with pytest.raises(ValueError):
-            refine.load_velocity_net(path, desk_cfg.mel.n_mels, desk_cfg.refine)
+        with pytest.raises(ValueError, match="no refinement stage"):
+            Codec.load(path, desk_cfg)

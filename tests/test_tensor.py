@@ -345,6 +345,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             T.load_checkpoint(path)
 
+    @pytest.mark.parametrize("cut,where", [
+        (6, "the header"), (9, "the name of entry 0"), (11, "the name of entry 0"),
+        (14, "the dims of 'ab'"), (30, "the data of 'ab'"), (67, "the data of 'ab'")])
+    def test_truncation_names_entry(self, tmp_path, cut, where):
+        # layout: magic 0-4, count 4-8, name length 8-10, name 10-12,
+        # ndim 12, dims 13-21, data 21-69
+        path = tmp_path / "model.fmck"
+        T.save_checkpoint(path, {"ab": np.ones((2, 3))})
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=f"truncated in {where}"):
+            T.load_checkpoint(path)
+
     def test_byte_identical_rewrites(self, tmp_path):
         params = {"a": np.linspace(0, 1, 7), "b": np.ones((2, 2))}
         p1, p2 = tmp_path / "c1.fmck", tmp_path / "c2.fmck"
