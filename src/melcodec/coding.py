@@ -287,6 +287,8 @@ def train_coding(corpus, cfg, checkpoint_out, log_csv=None) -> CodingModel:
 
 def load_coding_model(checkpoint_path, mel_cfg: MelConfig,
                       cfg: CodingConfig) -> CodingModel:
-    model = CodingModel(mel_cfg, cfg, np.random.default_rng(0))
-    model.load_state(T.load_checkpoint(checkpoint_path), prefix="coding/")
-    return model.eval()
+    """The coding stage of a checkpoint, read by `Codec.load`."""
+    from .codec import Codec  # codec and config import this module
+    from .config import PipelineConfig
+    return Codec.load(checkpoint_path, PipelineConfig(mel=mel_cfg, coding=cfg),
+                      need_refine=False).model

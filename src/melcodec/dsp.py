@@ -237,20 +237,32 @@ def _overlap_add(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _istft(spec: np.ndarray, cfg: MelConfig, length: int) -> np.ndarray:
-    """Windowed overlap-add inverse of `stft`, trimmed to the given length."""
-    n, hop, width = spec.shape[0], cfg.hop, cfg.frame_length
+def _synthesis_window(cfg: MelConfig, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `_istft` of n frames needs besides the spectrum: the Hann window,
+    the mask of samples where the overlap-added squared window exceeds
+    1e-11, and that sum at those samples."""
+    hop, width = cfg.hop, cfg.frame_length
     r = -(-width // hop)  # frames zero-padded to r whole hops
     window = _hann(width)
+    window_sq = np.zeros(r * hop)
+    window_sq[:width] = window ** 2
+    wsum = _overlap_add(np.broadcast_to(window_sq.reshape(1, r, hop), (n, r, hop)))
+    good = wsum > 1e-11
+    return window, good, wsum[good]
+
+
+def _istft(spec: np.ndarray, cfg: MelConfig, length: int,
+           synthesis: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Windowed overlap-add inverse of `stft`, trimmed to the given length;
+    `synthesis` is `_synthesis_window(cfg, len(spec))`."""
+    n, hop, width = spec.shape[0], cfg.hop, cfg.frame_length
+    r = -(-width // hop)
+    window, good, wsum = synthesis
     frames = np.zeros((n, r * hop))
     np.multiply(np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :width],
                 window[None, :], out=frames[:, :width])
-    window_sq = np.zeros(r * hop)
-    window_sq[:width] = window ** 2
     out = _overlap_add(frames.reshape(n, r, hop))
-    wsum = _overlap_add(np.broadcast_to(window_sq.reshape(1, r, hop), (n, r, hop)))
-    good = wsum > 1e-11
-    out[good] /= wsum[good]
+    out[good] /= wsum
     pad = width // 2
     out = out[pad:pad + length]
     if len(out) < length:
@@ -307,8 +319,9 @@ def mel_to_waveform(mel: MelSpectrogram, iterations: int = 32) -> np.ndarray:
     linear = np.exp(mel.data)  # [N, D]
     magnitude = np.ascontiguousarray(_nnls(_filterbank(cfg), linear.T).T)  # [N, bins]
     length = mel.n_frames * cfg.hop
+    synthesis = _synthesis_window(cfg, mel.n_frames)
 
-    x = _istft(magnitude, cfg, length)
+    x = _istft(magnitude, cfg, length, synthesis)
     for _ in range(iterations):
         rebuilt = stft(x, cfg)  # length = N * hop gives exactly N frames
         scale = np.abs(rebuilt)
@@ -317,7 +330,7 @@ def mel_to_waveform(mel: MelSpectrogram, iterations: int = 32) -> np.ndarray:
         np.divide(magnitude, scale, out=scale)
         rebuilt *= scale
         rebuilt[silent] = magnitude[silent]
-        x = _istft(rebuilt, cfg, length)
+        x = _istft(rebuilt, cfg, length, synthesis)
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("non-finite samples from mel inversion")
     return x

@@ -56,8 +56,8 @@ class Module:
         return self
 
     def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        """Copy in every parameter from state[prefix + name]; a key under the
-        prefix that names no parameter is rejected."""
+        """Copy every parameter from state[prefix + name] into its existing
+        array; a key under the prefix that names no parameter is rejected."""
         params = self.named_parameters()
         for key in state:
             if key.startswith(prefix) and key[len(prefix):] not in params:
@@ -69,7 +69,7 @@ class Module:
             if state[key].shape != tensor.data.shape:
                 raise ValueError(f"shape mismatch for '{key}': checkpoint "
                                  f"{state[key].shape} vs model {tensor.data.shape}")
-            tensor.data = state[key].astype(np.float64).copy()
+            np.copyto(tensor.data, state[key])
 
     def state_dict(self, prefix: str = "") -> dict[str, np.ndarray]:
         return {prefix + k: v.data for k, v in self.named_parameters().items()}
@@ -231,9 +231,7 @@ class AttentionBlock(Module):
         q = T.narrow(qkv, 0, 0, 1).reshape(b, self.heads, l, self.head_dim)
         k = T.narrow(qkv, 0, 1, 1).reshape(b, self.heads, l, self.head_dim)
         v = T.narrow(qkv, 0, 2, 1).reshape(b, self.heads, l, self.head_dim)
-        scores = T.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        weights = T.softmax(scores, axis=-1)
-        attended = T.matmul(weights, v)  # [B, H, L, dh]
+        attended = T.attention(q, k, v, 1.0 / np.sqrt(self.head_dim))  # [B, H, L, dh]
         attended = attended.transpose(0, 2, 1, 3).reshape(b, l, self.heads * self.head_dim)
         x = x + self.out_proj(attended).transpose(0, 2, 1)
         x = x + self.ff(self.norm2(x), rng=rng)

@@ -73,10 +73,27 @@ def init_cluster_state(k: int, rho: float = 0.999, delta: float = 1e-3) -> Clust
     return ClusterState(pi=np.zeros(k), rho=rho, delta=delta)
 
 
+# bytes of the [rows, K, C] difference block `_pairwise_distances` reuses
+_DISTANCE_BLOCK_BYTES = 4 << 20
+
+
 def _pairwise_distances(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Euclidean distances [N, K], computed directly for exact tie behavior."""
-    diff = z[:, None, :] - w[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """Euclidean distances [N, K], computed directly for exact tie behavior.
+
+    Rows of z go in blocks through one reused [rows, K, C] buffer of about
+    `_DISTANCE_BLOCK_BYTES`; the element-wise arithmetic is that of the
+    whole [N, K, C] difference, so the distances are the same to the bit.
+    """
+    n, k = len(z), len(w)
+    rows = max(1, _DISTANCE_BLOCK_BYTES // (8 * k * w.shape[1]))
+    diff = np.empty((min(rows, n), k, w.shape[1]))
+    out = np.empty((n, k))
+    for lo in range(0, n, rows):
+        block = diff[:min(rows, n - lo)]
+        np.subtract(z[lo:lo + rows, None, :], w[None, :, :], out=block)
+        np.multiply(block, block, out=block)
+        block.sum(axis=2, out=out[lo:lo + rows])
+    return np.sqrt(out, out=out)
 
 
 def quantize(z: np.ndarray | Tensor, cb: Codebook) -> tuple[TokenSequence, np.ndarray]:

@@ -40,14 +40,18 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """A float64 array plus optional gradient buffer and autodiff record."""
+    """A float64 array plus optional gradient buffer and autodiff record.
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward")
+    A leaf that requires grad allocates its gradient buffer when the first
+    gradient reaches it; until then `grad` reads as zeros.
+    """
+
+    __slots__ = ("data", "requires_grad", "_grad", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64, copy=True)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self._grad = None
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -60,7 +64,7 @@ class Tensor:
         _check_finite(data, op)
         out = cls.__new__(cls)
         out.data = np.asarray(data, dtype=np.float64)
-        out.grad = None
+        out._grad = None
         out.op = op
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -92,35 +96,46 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The accumulated gradient; zeros for a leaf that has none yet."""
+        if self._grad is None and self.requires_grad and self._backward is None:
+            return np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+
     def zero_grad(self) -> None:
-        if self.requires_grad:
-            if self.grad is None or self._backward is not None:
-                self.grad = np.zeros_like(self.data)
-            else:
-                self.grad.fill(0.0)
+        """Zero the gradient; a leaf keeps the buffer it has, if any."""
+        if self._backward is not None:
+            self._grad = None
+        elif self._grad is not None:
+            self._grad.fill(0.0)
 
     def _accumulate(self, g: np.ndarray) -> None:
         # An op output takes a C-contiguous first gradient without a copy and
         # never writes into it, since that array may be another node's buffer;
-        # leaves own their buffers and accumulate in place. Either way the
-        # buffer keeps the memory layout a copy would have had.
-        interior = self._backward is not None
-        if self.grad is None:
-            if (interior and isinstance(g, np.ndarray) and g.dtype == np.float64
+        # leaves own their buffers, start them at zero and accumulate in place.
+        if self._backward is None:
+            if self._grad is None:
+                self._grad = np.zeros_like(self.data)
+            self._grad += g
+        elif self._grad is None:
+            if (isinstance(g, np.ndarray) and g.dtype == np.float64
                     and g.flags.c_contiguous):
-                self.grad = g
+                self._grad = g
             else:
-                self.grad = np.array(g, dtype=np.float64, copy=True)
-        elif interior:
-            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
+                self._grad = np.array(g, dtype=np.float64, copy=True)
         else:
-            self.grad += g
+            self._grad = np.add(self._grad, g, out=np.empty_like(self._grad))
 
     def detach(self) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = self.data
         out.requires_grad = False
-        out.grad = None
+        out._grad = None
         out.op = "detach"
         out._parents = ()
         out._backward = None
@@ -682,6 +697,52 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(data, (x,), bw, "softmax")
 
 
+# bytes of one [B, H, rows, L] block of attention weights outside the tape
+_ATTENTION_BLOCK_BYTES = 8 << 20
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(scale * q @ k^T) @ v over [B, H, L, dh] queries, keys and values.
+
+    The arithmetic is that of matmul -> scale -> softmax -> matmul, with the
+    softmax done in place. When the tape records, the [B, H, L, L] weights
+    are kept for the backward pass; otherwise query rows go in blocks of
+    about `_ATTENTION_BLOCK_BYTES`, so memory grows linearly with L.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 4 or k.shape != q.shape or v.shape[:3] != q.shape[:3]:
+        raise ValueError(f"attention shapes differ: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}")
+    kt = np.swapaxes(k.data, -1, -2)
+    batch, heads, length, _ = q.shape
+    recording = _GRAD_ENABLED and (q.requires_grad or k.requires_grad or v.requires_grad)
+    rows = length if recording else max(
+        1, _ATTENTION_BLOCK_BYTES // (8 * batch * heads * length))
+    data = np.empty(v.data.shape)
+    for lo in range(0, length, rows):
+        w = np.matmul(q.data[:, :, lo:lo + rows], kt)
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        data[:, :, lo:lo + rows] = np.matmul(w, v.data)
+
+    def bw(g):
+        if v.requires_grad:
+            v._accumulate(np.matmul(np.swapaxes(w, -1, -2), g))
+        if q.requires_grad or k.requires_grad:
+            gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+            gs = gs * np.asarray(scale)
+            if q.requires_grad:
+                q._accumulate(np.matmul(gs, k.data))
+            if k.requires_grad:
+                k._accumulate(np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs),
+                                          -1, -2))
+
+    return Tensor._from_op(data, (q, k, v), bw, "attention")
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     if not training or p <= 0.0:
         return x
@@ -747,14 +808,14 @@ def backward(root: Tensor) -> None:
     if not root.requires_grad:
         raise ValueError("backward root does not require grad")
     order = topo_order(root)
-    root.grad = np.ones_like(root.data)
+    root._grad = np.ones_like(root.data)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None and node._grad is not None:
+            node._backward(node._grad)
     # free transient buffers on interior nodes
     for node in order:
         if node._backward is not None:
-            node.grad = None
+            node._grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +866,7 @@ class AdamW:
 
     def step(self) -> None:
         raw = {k: p.data for k, p in self.params.items()}
-        grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for k, p in self.params.items()}
+        grads = {k: p.grad for k, p in self.params.items()}
         adamw_step(raw, grads, self.state, self.lr, self.betas[0], self.betas[1],
                    self.weight_decay)
 
@@ -837,15 +897,16 @@ def save_checkpoint(path, named_params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Inverse of `save_checkpoint`; a file that ends inside an entry is
-    rejected with the part and the entry it ends in."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {blob[:4]!r}")
+    """Inverse of `save_checkpoint`. The file is read once into one writable
+    buffer and each entry is a float64 view of it, which may be unaligned; a
+    file that ends inside an entry is rejected with the part and the entry
+    it ends in."""
+    blob = np.fromfile(path, dtype=np.uint8)
+    if blob[:4].tobytes() != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {blob[:4].tobytes()!r}")
     offset = 4
 
-    def take(n_bytes: int, what: str) -> bytes:
+    def take(n_bytes: int, what: str) -> np.ndarray:
         nonlocal offset
         if offset + n_bytes > len(blob):
             raise ValueError(f"{path}: checkpoint truncated in {what}")
@@ -856,12 +917,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for i in range(count):
         (name_len,) = struct.unpack("<H", take(2, f"the name of entry {i}"))
-        name = take(name_len, f"the name of entry {i}").decode("utf-8")
-        ndim = take(1, f"the dims of '{name}'")[0]
+        name = take(name_len, f"the name of entry {i}").tobytes().decode("utf-8")
+        ndim = int(take(1, f"the dims of '{name}'")[0])
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the dims of '{name}'"))
         n_bytes = int(np.prod(shape, dtype=np.int64)) * 8 if ndim else 8
-        data = take(n_bytes, f"the data of '{name}'")
-        out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        out[name] = take(n_bytes, f"the data of '{name}'").view("<f8").reshape(shape)
     if offset != len(blob):
         raise ValueError("trailing bytes after last checkpoint entry")
     return out

@@ -255,8 +255,9 @@ class TestInversion:
         cfg = MelConfig(hop=hop)
         x = np.random.default_rng(hop).normal(size=2345)
         spec = dsp.stft(x, cfg)
+        synthesis = dsp._synthesis_window(cfg, spec.shape[0])
         for length in (len(x), spec.shape[0] * hop):
-            np.testing.assert_array_equal(dsp._istft(spec, cfg, length),
+            np.testing.assert_array_equal(dsp._istft(spec, cfg, length, synthesis),
                                           reference_istft(spec, cfg, length))
 
     def test_nnls_stops_early_near_full_solve(self):

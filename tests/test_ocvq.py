@@ -61,6 +61,20 @@ class TestQuantize:
             alternative = np.linalg.norm(z - cb.weight.data[k], axis=1)
             assert np.all(chosen <= alternative + 1e-15)
 
+    def test_blocked_distances_equal_broadcast_bitwise(self):
+        # K=1024, C=32 take 16 rows per block; 2500 rows leave a partial block
+        rng = np.random.default_rng(2)
+        w = rng.normal(size=(1024, 32))
+        w[700] = w[300]  # duplicate codewords tie exactly
+        z = rng.normal(size=(2500, 32))
+        z[[5, 17, 2499]] = w[[300, 700, 9]]
+        diff = z[:, None, :] - w[None, :, :]
+        expected = np.sqrt((diff * diff).sum(axis=2))
+        np.testing.assert_array_equal(ocvq._pairwise_distances(z, w), expected)
+        seq, _ = ocvq.quantize(z, ocvq.Codebook(Tensor(w, requires_grad=True)))
+        np.testing.assert_array_equal(seq.tokens, np.argmin(expected, axis=1))
+        assert seq.tokens[[5, 17, 2499]].tolist() == [300, 300, 9]
+
     def test_dim_mismatch(self):
         cb = ocvq.Codebook(Tensor(np.zeros((4, 3)), requires_grad=True))
         with pytest.raises(ValueError):

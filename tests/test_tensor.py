@@ -112,6 +112,43 @@ class TestMatmul:
         gradcheck(lambda x, y: (T.matmul(x, y) ** 2).sum(), [a, b])
 
 
+def composed_attention(q, k, v, scale):
+    """The matmul -> scale -> softmax -> matmul chain `attention` replaces."""
+    weights = T.softmax(T.matmul(q, k.transpose(0, 1, 3, 2)) * scale, axis=-1)
+    return T.matmul(weights, v)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_one_block_equals_chain_bitwise(self, recording):
+        rng = np.random.default_rng(40)
+        arrays = [rng.normal(size=(3, 2, 100, 16)) for _ in range(3)]
+        g = rng.normal(size=(3, 2, 100, 16))
+        results = []
+        for op in (T.attention, composed_attention):
+            qkv = [Tensor(a, requires_grad=recording) for a in arrays]
+            out = op(*qkv, 0.25)
+            if recording:
+                T.backward((out * g).sum())
+            results.append([out.data] + [t.grad for t in qkv if recording])
+        for ours, chain in zip(*results):
+            np.testing.assert_array_equal(ours, chain)
+
+    def test_row_blocks_close_to_chain(self):
+        rng = np.random.default_rng(41)
+        q, k, v = (Tensor(rng.normal(size=(1, 2, 1500, 16))) for _ in range(3))
+        with T.no_grad():
+            np.testing.assert_allclose(T.attention(q, k, v, 0.25).data,
+                                       composed_attention(q, k, v, 0.25).data,
+                                       rtol=0, atol=1e-12)
+
+    def test_grads(self):
+        rng = np.random.default_rng(42)
+        arrays = [rng.normal(size=(2, 2, 5, 3)) for _ in range(3)]
+        w = rng.normal(size=(2, 2, 5, 3))
+        gradcheck(lambda q, k, v: (T.attention(q, k, v, 0.7) * w).sum(), arrays)
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
@@ -230,6 +267,13 @@ class TestBackward:
         unused = Tensor([5.0], requires_grad=True)
         T.backward((x * x).sum())
         np.testing.assert_array_equal(unused.grad, [0.0])
+
+    def test_fresh_leaf_holds_no_gradient_array(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        assert x._grad is None
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+        x.zero_grad()
+        assert x._grad is None
 
     def test_shared_subexpression_visited_once(self):
         x = Tensor([3.0], requires_grad=True)
